@@ -2,8 +2,8 @@
 incremental inference benchmark.
 
 Two measurements feed the ``incremental`` section of ``BENCH_columnar.json``
-(merged into the existing report — the speedup/appender/sharding benchmarks
-own the other keys). First, a crowd-round-shaped delta (~50 answers from a
+(merged into the existing report — the speedup/appender benchmarks own the
+other keys). First, a crowd-round-shaped delta (~50 answers from a
 small worker panel) lands on a 5,000-object dataset, and the warm-started
 ``fit(dataset, warm_start=prev)`` that re-converges only the dirty frontier
 is timed against the cold columnar fit of the identical final state, for TDH
@@ -44,12 +44,11 @@ import numpy as np
 import pytest
 
 from repro.data.model import Answer, Record, TruthDiscoveryDataset
-from repro.datasets.geography import make_geography, sample_truths
-from repro.datasets.synthetic import _claim_value, _wrong_pool
+from repro.datasets import make_sparse_dataset
 from repro.inference import DawidSkene, TDHModel
 
+# The shape of the default ``make_sparse_dataset()`` substrate.
 N_OBJECTS = 5000
-N_SOURCES = 15000
 CLAIMS_PER_OBJECT = 5
 N_WORKERS = 7
 DELTA_ANSWERS = 50
@@ -57,32 +56,6 @@ DELTA_RECORDS = 10
 REPEATS = 3
 MIN_INCREMENTAL_SPEEDUP = 5.0
 MIN_GROWTH_SPEEDUP = 3.0
-
-
-def make_sparse_dataset(
-    size: int = N_OBJECTS, n_sources: int = N_SOURCES, seed: int = 29
-) -> TruthDiscoveryDataset:
-    """Uniform sparse claim graph: ``CLAIMS_PER_OBJECT`` sources per object,
-    drawn uniformly (no Zipf head), so claimant degree stays ~O(1) and a
-    round's frontier cannot percolate through a popular source."""
-    rng = np.random.default_rng(seed)
-    hierarchy = make_geography(
-        height=5, branching=(4, 6, 5, 4, 2), rng=rng, max_nodes=3000
-    )
-    truths = sample_truths(hierarchy, size, rng, min_depth=2)
-    objects = [f"entity_{i}" for i in range(size)]
-    gold = dict(zip(objects, truths))
-    pool = _wrong_pool(hierarchy, rng)
-    records: List[Record] = []
-    for obj, truth in zip(objects, truths):
-        misinformation = pool[int(rng.integers(len(pool)))]
-        chosen = rng.choice(n_sources, size=CLAIMS_PER_OBJECT, replace=False)
-        for idx in chosen:
-            value = _claim_value(
-                truth, hierarchy, (0.7, 0.2, 0.1), misinformation, pool, rng
-            )
-            records.append(Record(obj, f"src_{idx}", value))
-    return TruthDiscoveryDataset(hierarchy, records, gold=gold, name="sparse5k")
 
 
 def round_answers(dataset: TruthDiscoveryDataset, seed: int = 41) -> List[Answer]:

@@ -44,14 +44,13 @@ import asyncio
 import json
 import time
 from pathlib import Path
-from typing import Dict, List
+from typing import Dict
 
 import numpy as np
 import pytest
 
 from repro.data.model import Answer, Record, TruthDiscoveryDataset
-from repro.datasets.geography import make_geography, sample_truths
-from repro.datasets.synthetic import _claim_value, _wrong_pool
+from repro.datasets import make_sparse_dataset
 from repro.inference import TDHModel
 from repro.serving import (
     LatencyRecorder,
@@ -64,8 +63,8 @@ from repro.serving import (
 
 ARTIFACT = Path(__file__).resolve().parent.parent / "BENCH_service.json"
 
+# The shape of the default ``make_sparse_dataset()`` substrate.
 N_OBJECTS = 5000
-N_SOURCES = 15000
 CLAIMS_PER_OBJECT = 5
 N_WRITERS = 4
 WRITES_PER_WRITER = 48
@@ -80,29 +79,6 @@ MIXED_WRITES_PER_WRITER = 24
 MIXED_CLAIMS = 12
 COMPACT_HISTORY = 8000  # single-write batches: a long-history journal
 MIN_COMPACTION_REPLAY_REDUCTION = 5.0
-
-
-def make_sparse_dataset(seed: int = 29) -> TruthDiscoveryDataset:
-    """The incremental benchmark's substrate (duplicated: benchmarks/ is not
-    a package): uniform sparse claims, claimant degree ~O(1)."""
-    rng = np.random.default_rng(seed)
-    hierarchy = make_geography(
-        height=5, branching=(4, 6, 5, 4, 2), rng=rng, max_nodes=3000
-    )
-    truths = sample_truths(hierarchy, N_OBJECTS, rng, min_depth=2)
-    objects = [f"entity_{i}" for i in range(N_OBJECTS)]
-    gold = dict(zip(objects, truths))
-    pool = _wrong_pool(hierarchy, rng)
-    records: List[Record] = []
-    for obj, truth in zip(objects, truths):
-        misinformation = pool[int(rng.integers(len(pool)))]
-        chosen = rng.choice(N_SOURCES, size=CLAIMS_PER_OBJECT, replace=False)
-        for idx in chosen:
-            value = _claim_value(
-                truth, hierarchy, (0.7, 0.2, 0.1), misinformation, pool, rng
-            )
-            records.append(Record(obj, f"src_{idx}", value))
-    return TruthDiscoveryDataset(hierarchy, records, gold=gold, name="sparse5k")
 
 
 def writer_stream(dataset: TruthDiscoveryDataset, writer_id: int, seed: int = 41):

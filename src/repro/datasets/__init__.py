@@ -6,6 +6,7 @@ from .synthetic import (
     SourceProfile,
     make_birthplaces,
     make_heritages,
+    make_sparse_dataset,
 )
 from .stock import ATTRIBUTES, claims_to_dataset, make_stock_claims
 from .registry import dataset_names, load_dataset
@@ -15,6 +16,7 @@ __all__ = [
     "sample_truths",
     "make_birthplaces",
     "make_heritages",
+    "make_sparse_dataset",
     "SourceProfile",
     "BIRTHPLACES_PROFILES",
     "make_stock_claims",

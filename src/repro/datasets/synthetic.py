@@ -192,3 +192,36 @@ def make_heritages(
             value = _claim_value(truth, hierarchy, phis[idx], misinformation, pool, rng)
             records.append(Record(obj, f"site_source_{idx}", value))
     return TruthDiscoveryDataset(hierarchy, records, gold=gold, name="heritages")
+
+
+def make_sparse_dataset(
+    size: int = 5000,
+    n_sources: int = 15000,
+    seed: int = 29,
+) -> TruthDiscoveryDataset:
+    """Uniform sparse claim graph: five distinct sources per object, drawn
+    uniformly (no Zipf head) from ``n_sources``.
+
+    Claimant degree stays ~O(1), so a crowd round's dirty frontier cannot
+    percolate through a popular source — the substrate of the incremental-EM
+    and serving benchmarks. (:func:`make_birthplaces` is the opposite case:
+    its two near-complete sources connect every object to every other.)
+    """
+    rng = np.random.default_rng(seed)
+    hierarchy = make_geography(
+        height=5, branching=(4, 6, 5, 4, 2), rng=rng, max_nodes=3000
+    )
+    truths = sample_truths(hierarchy, size, rng, min_depth=2)
+    objects = [f"entity_{i}" for i in range(size)]
+    gold = dict(zip(objects, truths))
+    pool = _wrong_pool(hierarchy, rng)
+    records: List[Record] = []
+    for obj, truth in zip(objects, truths):
+        misinformation = pool[int(rng.integers(len(pool)))]
+        chosen = rng.choice(n_sources, size=5, replace=False)
+        for idx in chosen:
+            value = _claim_value(
+                truth, hierarchy, (0.7, 0.2, 0.1), misinformation, pool, rng
+            )
+            records.append(Record(obj, f"src_{idx}", value))
+    return TruthDiscoveryDataset(hierarchy, records, gold=gold, name="sparse")

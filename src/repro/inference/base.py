@@ -293,8 +293,8 @@ class WarmStartDegradation(RuntimeWarning):
 
     Carries a machine-readable :attr:`reason` (``"clone"`` or
     ``"unservable-record-window"``) so the serving worker can tally
-    degradations per cause structurally; the message still begins with
-    :data:`WARM_START_DEGRADED_PREFIX` for anything matching on text.
+    degradations per cause structurally; the message begins with
+    ``"warm_start degraded to a cold fit for dataset "`` for log grepping.
     """
 
     def __init__(self, message: str, reason: str) -> None:
@@ -323,14 +323,12 @@ def validate_warm_start(
     if warm_start is None:
         return None
     label = repr(dataset.name) if getattr(dataset, "name", "") else "<unnamed>"
+    prefix = f"warm_start degraded to a cold fit for dataset {label}: "
     if warm_start.dataset is not dataset:
         warnings.warn(
             WarmStartDegradation(
-                warm_start_degradation_message(
-                    label,
-                    "it was fitted on a different dataset object (a clone?), so"
-                    " its claimant/slot keys cannot be trusted",
-                ),
+                prefix + "it was fitted on a different dataset object (a"
+                " clone?), so its claimant/slot keys cannot be trusted",
                 reason="clone",
             ),
             stacklevel=3,
@@ -348,34 +346,18 @@ def validate_warm_start(
         if window is None:
             warnings.warn(
                 WarmStartDegradation(
-                    warm_start_degradation_message(
-                        label,
-                        f"it was fitted at records_version"
-                        f" {warm_start.records_version} but the record window"
-                        f" to the current records_version {current} is not an"
-                        " append-only op log (an in-place overwrite, or a"
-                        " window trimmed past the fit), so candidate sets may"
-                        " have changed in place",
-                    ),
+                    prefix + f"it was fitted at records_version"
+                    f" {warm_start.records_version} but the record window"
+                    f" to the current records_version {current} is not an"
+                    " append-only op log (an in-place overwrite, or a"
+                    " window trimmed past the fit), so candidate sets may"
+                    " have changed in place",
                     reason="unservable-record-window",
                 ),
                 stacklevel=3,
             )
             return None
     return warm_start
-
-
-#: Shared prefix of every warm-start degradation warning. The serving layer's
-#: EM worker counts degradations structurally (``isinstance(...,
-#: WarmStartDegradation)``, per :attr:`WarmStartDegradation.reason`); the
-#: prefix remains for log grepping, and ``tests/test_incremental_em.py``
-#: asserts the exact composed messages.
-WARM_START_DEGRADED_PREFIX = "warm_start degraded to a cold fit for dataset "
-
-
-def warm_start_degradation_message(dataset_label: str, reason: str) -> str:
-    """The exact warning text for a refused warm start (one format, two gates)."""
-    return f"{WARM_START_DEGRADED_PREFIX}{dataset_label}: {reason}"
 
 
 def initial_confidences(dataset: TruthDiscoveryDataset) -> Dict[ObjectId, np.ndarray]:

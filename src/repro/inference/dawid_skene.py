@@ -30,7 +30,6 @@ import numpy as np
 
 from ..data.columnar import FrontierView, incremental_frontier, resolve_engine
 from ..data.model import ObjectId, TruthDiscoveryDataset
-from ..data.sharding import ColumnarShards, parallel_plan
 from ..hierarchy.tree import Value
 from .base import (
     ColumnarInferenceResult,
@@ -48,51 +47,52 @@ def _claims_of(dataset: TruthDiscoveryDataset, obj: ObjectId) -> Dict[Hashable, 
     return claims
 
 
-def _confusion_estep_kernel(shard, consts, state):
-    """Confusion-matrix E-step over one object-range shard.
+def _confusion_estep_kernel(view, consts, state):
+    """Confusion-matrix E-step over one view of the claims.
 
-    Shared by Dawid-Skene (``with_prior=True``: the current confidences act
-    as class priors) and LFC (``with_prior=False``: uniform prior). The
-    confusion ``cells`` / ``totals`` are global (their pairs span shards, so
-    the caller reduces them once per iteration on the full pair table); the
-    shard only performs the per-pair log-likelihood gather and the
-    shard-local per-slot reduction + softmax — the transcendental-heavy
-    part. Returns ``(posterior_slice, local_delta)``.
+    ``view`` is the whole :class:`~repro.data.columnar.ColumnarClaims`
+    encoding for a full fit, or a :class:`~repro.data.columnar.FrontierView`
+    for a frontier fit. Shared by Dawid-Skene (``with_prior=True``: the
+    current confidences act as class priors) and LFC (``with_prior=False``:
+    uniform prior). The confusion ``cells`` / ``totals`` are reduced by the
+    caller; the kernel performs the per-pair log-likelihood gather and the
+    per-slot reduction + softmax. Returns ``(posterior, delta)``.
     """
-    mu = state["mu"][shard.slot_lo : shard.slot_hi]
+    mu = state["mu"]
     smoothing = state["smoothing"]
     contrib = np.log(
-        (state["cells"][shard.cell_index] + smoothing)
-        / (state["totals"][shard.total_index] + smoothing * shard.pair_size)
+        (state["cells"][view.cell_index] + smoothing)
+        / (state["totals"][view.total_index] + smoothing * view.pair_size)
     )
-    log_post = np.bincount(shard.pair_slot, weights=contrib, minlength=shard.n_slots)
+    log_post = np.bincount(view.pair_slot, weights=contrib, minlength=view.n_slots)
     if consts["with_prior"]:
         log_post = np.log(np.maximum(mu, 1e-12)) + log_post
-    posterior = shard.segment_softmax(log_post)
-    delta = float(np.max(np.abs(posterior - mu))) if shard.n_slots else 0.0
+    posterior = view.segment_softmax(log_post)
+    delta = float(np.max(np.abs(posterior - mu))) if view.n_slots else 0.0
     return posterior, delta
 
 
-def _zencrowd_estep_kernel(shard, consts, state):
-    """ZenCrowd E-step over one shard: per-claim hit/miss log-likelihoods,
-    per-slot posterior, plus each claim's posterior mass on its claimed slot
-    (the caller's global per-claimant reliability reduction needs it in
-    claim order). Returns ``(posterior_slice, claim_correct, local_delta)``."""
-    mu = state["mu"][shard.slot_lo : shard.slot_hi]
+def _zencrowd_estep_kernel(view, consts, state):
+    """ZenCrowd E-step over one view of the claims (the encoding or a
+    :class:`~repro.data.columnar.FrontierView`): per-claim hit/miss
+    log-likelihoods, per-slot posterior, plus each claim's posterior mass on
+    its claimed slot (the caller's per-claimant reliability reduction needs
+    it in claim order). Returns ``(posterior, claim_correct, delta)``."""
+    mu = state["mu"]
     r = state["r"]  # clipped reliability per (global) claimant id
-    log_hit = np.log(r[shard.claim_claimant])
-    log_miss = np.log((1.0 - r[shard.claim_claimant]) / consts["miss_denom"])
+    log_hit = np.log(r[view.claim_claimant])
+    log_miss = np.log((1.0 - r[view.claim_claimant]) / consts["miss_denom"])
     contrib = np.where(
-        shard.pair_is_claimed,
-        log_hit[shard.pair_claim],
-        log_miss[shard.pair_claim],
+        view.pair_is_claimed,
+        log_hit[view.pair_claim],
+        log_miss[view.pair_claim],
     )
     log_post = np.log(np.maximum(mu, 1e-12)) + np.bincount(
-        shard.pair_slot, weights=contrib, minlength=shard.n_slots
+        view.pair_slot, weights=contrib, minlength=view.n_slots
     )
-    posterior = shard.segment_softmax(log_post)
-    delta = float(np.max(np.abs(posterior - mu))) if shard.n_slots else 0.0
-    return posterior, posterior[shard.claim_slot], delta
+    posterior = view.segment_softmax(log_post)
+    delta = float(np.max(np.abs(posterior - mu))) if view.n_slots else 0.0
+    return posterior, posterior[view.claim_slot], delta
 
 
 def _incremental_confusion_fit(model, dataset, warm, with_prior):
@@ -194,11 +194,6 @@ class DawidSkene(TruthInferenceAlgorithm):
     use_columnar:
         Engine selector (``True`` / ``False`` / ``"auto"``); see
         :func:`repro.data.columnar.resolve_engine`.
-    n_jobs, shards, parallel_backend:
-        Parallel-execution knobs for the columnar engine (object-range
-        shards, bitwise-identical results; see :mod:`repro.data.sharding`).
-        ``parallel_backend="auto"`` downgrades to serial on 1-core hosts or
-        small shards.
     incremental / frontier_hops:
         With ``incremental=True`` and a ``warm_start=`` result from the same
         dataset, re-converge only the dirty frontier (touched objects plus
@@ -216,9 +211,6 @@ class DawidSkene(TruthInferenceAlgorithm):
         max_iter: int = 40,
         tol: float = 1e-5,
         use_columnar: Union[bool, str] = "auto",
-        n_jobs: int = 1,
-        shards: Optional[int] = None,
-        parallel_backend: str = "auto",
         incremental: bool = False,
         frontier_hops: int = 1,
     ) -> None:
@@ -226,9 +218,6 @@ class DawidSkene(TruthInferenceAlgorithm):
         self.max_iter = max_iter
         self.tol = tol
         self.use_columnar = use_columnar
-        self.n_jobs = n_jobs
-        self.shards = shards
-        self.parallel_backend = parallel_backend
         self.incremental = incremental
         if frontier_hops < 0:
             raise ValueError("frontier_hops must be >= 0")
@@ -256,47 +245,37 @@ class DawidSkene(TruthInferenceAlgorithm):
     def _fit_columnar(self, dataset: TruthDiscoveryDataset) -> InferenceResult:
         col = dataset.columnar()
         pairs = col.pairs
-        shards, executor = parallel_plan(
-            col, self.n_jobs, self.shards, self.parallel_backend
-        )
-        shards.ensure_pairs()
         mu = col.initial_confidences_flat()
         iterations = 0
         converged = False
-        consts = [{"with_prior": True} for _ in shards]
+        consts = {"with_prior": True}
 
-        with executor.session(shards, consts) as sess:
-            for iterations in range(1, self.max_iter + 1):
-                # M-step: every pair (claim j, candidate slot s) adds mu[s] to
-                # the claimant's confusion cell (truth value of s, claimed
-                # value of j) and to the (claimant, truth) marginal. Cells
-                # span shards, so this reduction stays global (one pass over
-                # the pair table in its original order — the merge contract's
-                # reduction half).
-                weight = mu[pairs.pair_slot]
-                cells = np.bincount(
-                    pairs.cell_index, weights=weight, minlength=pairs.n_cells
-                )
-                totals = np.bincount(
-                    pairs.total_index, weights=weight, minlength=pairs.n_totals
-                )
+        for iterations in range(1, self.max_iter + 1):
+            # M-step: every pair (claim j, candidate slot s) adds mu[s] to the
+            # claimant's confusion cell (truth value of s, claimed value of j)
+            # and to the (claimant, truth) marginal.
+            weight = mu[pairs.pair_slot]
+            cells = np.bincount(
+                pairs.cell_index, weights=weight, minlength=pairs.n_cells
+            )
+            totals = np.bincount(
+                pairs.total_index, weights=weight, minlength=pairs.n_totals
+            )
 
-                # E-step per shard: log-likelihood gather + per-slot softmax.
-                parts = sess.map(
-                    _confusion_estep_kernel,
-                    {
-                        "mu": mu,
-                        "cells": cells,
-                        "totals": totals,
-                        "smoothing": self.smoothing,
-                    },
-                )
-                posterior = ColumnarShards.concat([p[0] for p in parts])
-                delta = max((p[1] for p in parts), default=0.0)
-                mu = posterior
-                if delta < self.tol:
-                    converged = True
-                    break
+            # E-step: log-likelihood gather + per-slot softmax.
+            mu, delta = _confusion_estep_kernel(
+                col,
+                consts,
+                {
+                    "mu": mu,
+                    "cells": cells,
+                    "totals": totals,
+                    "smoothing": self.smoothing,
+                },
+            )
+            if delta < self.tol:
+                converged = True
+                break
         return ColumnarInferenceResult(dataset, col, mu, iterations, converged)
 
     # ------------------------------------------------------------------
@@ -365,9 +344,6 @@ class ZenCrowd(TruthInferenceAlgorithm):
         max_iter: int = 40,
         tol: float = 1e-5,
         use_columnar: Union[bool, str] = "auto",
-        n_jobs: int = 1,
-        shards: Optional[int] = None,
-        parallel_backend: str = "auto",
         incremental: bool = False,
         frontier_hops: int = 1,
     ) -> None:
@@ -375,9 +351,6 @@ class ZenCrowd(TruthInferenceAlgorithm):
         self.max_iter = max_iter
         self.tol = tol
         self.use_columnar = use_columnar
-        self.n_jobs = n_jobs
-        self.shards = shards
-        self.parallel_backend = parallel_backend
         self.incremental = incremental
         if frontier_hops < 0:
             raise ValueError("frontier_hops must be >= 0")
@@ -490,39 +463,33 @@ class ZenCrowd(TruthInferenceAlgorithm):
     # ------------------------------------------------------------------
     def _fit_columnar(self, dataset: TruthDiscoveryDataset) -> InferenceResult:
         col = dataset.columnar()
-        shards, executor = parallel_plan(
-            col, self.n_jobs, self.shards, self.parallel_backend
-        )
-        shards.ensure_pairs()
         mu = col.initial_confidences_flat()
         reliability = np.full(col.n_claimants, self.prior_reliability, dtype=np.float64)
         counts = col.claimant_counts()
         # Per-claim uniform-miss denominator max(|Vo| - 1, 1).
-        miss_denom = np.maximum(col.sizes[col.claim_obj] - 1, 1).astype(np.float64)
-        consts = [{"miss_denom": m} for m in shards.slice_claims(miss_denom)]
+        consts = {
+            "miss_denom": np.maximum(col.sizes[col.claim_obj] - 1, 1).astype(
+                np.float64
+            )
+        }
         iterations = 0
         converged = False
 
-        with executor.session(shards, consts) as sess:
-            for iterations in range(1, self.max_iter + 1):
-                r = np.clip(reliability, 1e-3, 1.0 - 1e-3)
-                parts = sess.map(_zencrowd_estep_kernel, {"mu": mu, "r": r})
-                posterior = ColumnarShards.concat([p[0] for p in parts])
-                claim_correct = ColumnarShards.concat([p[1] for p in parts])
-                delta = max((p[2] for p in parts), default=0.0)
-                mu = posterior
-                # Per-claimant reliability: the global bincount over the
-                # concatenated per-claim posterior mass (claimants span
-                # shards; reducing here keeps the accumulation order).
-                correct_mass = np.bincount(
-                    col.claim_claimant,
-                    weights=claim_correct,
-                    minlength=col.n_claimants,
-                )
-                reliability = (correct_mass + 1.0) / (counts + 2.0)
-                if delta < self.tol:
-                    converged = True
-                    break
+        for iterations in range(1, self.max_iter + 1):
+            r = np.clip(reliability, 1e-3, 1.0 - 1e-3)
+            mu, claim_correct, delta = _zencrowd_estep_kernel(
+                col, consts, {"mu": mu, "r": r}
+            )
+            # Per-claimant reliability from the per-claim posterior mass.
+            correct_mass = np.bincount(
+                col.claim_claimant,
+                weights=claim_correct,
+                minlength=col.n_claimants,
+            )
+            reliability = (correct_mass + 1.0) / (counts + 2.0)
+            if delta < self.tol:
+                converged = True
+                break
         result = ColumnarInferenceResult(dataset, col, mu, iterations, converged)
         result.reliability = col.claimant_mapping(reliability)  # type: ignore[attr-defined]
         return result

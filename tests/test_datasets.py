@@ -12,6 +12,7 @@ from repro.datasets import (
     make_birthplaces,
     make_geography,
     make_heritages,
+    make_sparse_dataset,
     make_stock_claims,
     sample_truths,
 )
@@ -137,6 +138,27 @@ class TestHeritages:
             if source_accuracy(ds, s)["claims"] >= 3
         ]
         assert 0.3 < float(np.mean(accuracies)) < 0.75
+
+
+class TestSparse:
+    CLAIMS_PER_OBJECT = 5
+
+    def _records(self, ds):
+        return [(r.object, r.source, r.value) for r in ds.iter_records()]
+
+    def test_same_seed_same_records(self):
+        a = make_sparse_dataset(size=120, n_sources=400, seed=3)
+        b = make_sparse_dataset(size=120, n_sources=400, seed=3)
+        assert self._records(a) == self._records(b)
+        assert a.gold == b.gold
+        other = make_sparse_dataset(size=120, n_sources=400, seed=4)
+        assert self._records(other) != self._records(a)
+
+    def test_every_object_has_distinct_sources(self):
+        ds = make_sparse_dataset(size=120, n_sources=400, seed=3)
+        assert len(ds.objects) == 120
+        for obj in ds.objects:
+            assert len(ds.records_for(obj)) == self.CLAIMS_PER_OBJECT
 
 
 class TestStock:

@@ -42,10 +42,7 @@ from repro.datasets import make_birthplaces, make_heritages
 from repro.eval.metrics import evaluate
 from repro.hierarchy.tree import Hierarchy
 from repro.inference import DawidSkene, Lfc, TDHModel, ZenCrowd
-from repro.inference.base import (
-    WARM_START_DEGRADED_PREFIX,
-    warm_start_degradation_message,
-)
+from repro.inference.base import WarmStartDegradation
 from repro.inference.tdh import TDHResult
 
 
@@ -212,7 +209,7 @@ def test_frontier_view_gathers_the_global_rows():
     col = ds.columnar()
     frontier = col.frontier(np.array([2, 11, 40]), hops=1)
     fv = FrontierView(col, frontier)
-    assert fv.slot_lo == 0 and fv.slot_hi == int(np.sum(col.sizes[frontier]))
+    assert fv.n_slots == int(np.sum(col.sizes[frontier]))
     # slot/claim gathers match direct per-object slicing
     assert np.array_equal(fv.sizes, col.sizes[frontier])
     for local, oid in enumerate(frontier):
@@ -417,26 +414,30 @@ def test_oplog_clear_by_overwrite_is_always_detected():
 # ---------------------------------------------------------------------------
 # warm-start gate (satellite: clones / unservable record windows degrade)
 # ---------------------------------------------------------------------------
+def _degradation_reasons(caught):
+    return [
+        w.message.reason
+        for w in caught.list
+        if isinstance(w.message, WarmStartDegradation)
+    ]
+
+
 def test_warm_start_from_a_clone_degrades_to_cold_with_warning():
     # The serving layer counts these degradations structurally (the
     # ``WarmStartDegradation.reason`` attribute); the exact message is still
-    # pinned here because logs and external tooling grep on the shared
-    # ``WARM_START_DEGRADED_PREFIX``.
+    # pinned here because logs and external tooling grep on its text.
     ds = _sparse_heritages()
     model = DawidSkene(max_iter=20, use_columnar=True, incremental=True)
     warm = model.fit(ds)
     clone = ds.copy()
-    expected = warm_start_degradation_message(
-        "'heritages'",
-        "it was fitted on a different dataset object (a clone?), so its"
-        " claimant/slot keys cannot be trusted",
+    expected = (
+        "warm_start degraded to a cold fit for dataset 'heritages': it was"
+        " fitted on a different dataset object (a clone?), so its"
+        " claimant/slot keys cannot be trusted"
     )
-    assert expected.startswith(WARM_START_DEGRADED_PREFIX)
-    with pytest.warns(RuntimeWarning, match=f"^{re.escape(expected)}$") as caught:
+    with pytest.warns(WarmStartDegradation, match=f"^{re.escape(expected)}$") as caught:
         result = model.fit(clone, warm_start=warm)
-    assert any(
-        getattr(w.message, "reason", None) == "clone" for w in caught.list
-    )
+    assert _degradation_reasons(caught) == ["clone"]
     assert result.frontier_size is None  # cold path, not the frontier fit
     cold = DawidSkene(max_iter=20, use_columnar=True).fit(ds.copy())
     assert _max_confidence_diff(result, cold, ds.objects) == 0.0
@@ -472,20 +473,16 @@ def test_warm_start_after_record_overwrite_degrades_to_cold_with_warning():
     source, old = next(iter(ds.records_for(obj).items()))
     replacement = next(v for v in ds.candidates(obj) if v != old)
     ds.add_record(Record(obj, source, replacement))  # in-place overwrite
-    expected = warm_start_degradation_message(
-        "'heritages'",
-        f"it was fitted at records_version {fitted_at} but the record window"
+    expected = (
+        "warm_start degraded to a cold fit for dataset 'heritages': it was"
+        f" fitted at records_version {fitted_at} but the record window"
         f" to the current records_version {ds.records_version} is not an"
         " append-only op log (an in-place overwrite, or a window trimmed"
-        " past the fit), so candidate sets may have changed in place",
+        " past the fit), so candidate sets may have changed in place"
     )
-    assert expected.startswith(WARM_START_DEGRADED_PREFIX)
-    with pytest.warns(RuntimeWarning, match=f"^{re.escape(expected)}$") as caught:
+    with pytest.warns(WarmStartDegradation, match=f"^{re.escape(expected)}$") as caught:
         result = model.fit(ds, warm_start=warm)
-    assert any(
-        getattr(w.message, "reason", None) == "unservable-record-window"
-        for w in caught.list
-    )
+    assert _degradation_reasons(caught) == ["unservable-record-window"]
     assert result.frontier_size is None
 
 
@@ -495,10 +492,11 @@ def test_unnamed_dataset_degradation_message_labels_it_unnamed():
     model = TDHModel(max_iter=5, use_columnar=True, incremental=True)
     warm = model.fit(ds)
     with pytest.warns(
-        RuntimeWarning,
-        match=f"^{re.escape(WARM_START_DEGRADED_PREFIX)}<unnamed>: ",
-    ):
+        WarmStartDegradation,
+        match="^warm_start degraded to a cold fit for dataset <unnamed>: ",
+    ) as caught:
         model.fit(ds.copy(), warm_start=warm)
+    assert _degradation_reasons(caught) == ["clone"]
 
 
 # ---------------------------------------------------------------------------
